@@ -88,7 +88,7 @@ func TestCheckpointRoundTripAPI(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	opt := unlimitedOptions(1)
-	opt.CheckpointOnStop = true
+	opt.Checkpoint = &CheckpointPolicy{OnStop: true}
 	var firstPart []string
 	opt.OnTree = func(nw string) {
 		firstPart = append(firstPart, nw)
@@ -103,6 +103,9 @@ func TestCheckpointRoundTripAPI(t *testing.T) {
 	if part1.Stop != StopCancelled || part1.Checkpoint == nil {
 		t.Fatalf("stop = %v, checkpoint = %v", part1.Stop, part1.Checkpoint)
 	}
+	if part1.Checkpoint.Version != 2 || part1.Checkpoint.Frontier == nil {
+		t.Fatalf("serial run wrote a v%d checkpoint, want a v2 frontier", part1.Checkpoint.Version)
+	}
 
 	var buf bytes.Buffer
 	if err := part1.Checkpoint.Write(&buf); err != nil {
@@ -114,7 +117,7 @@ func TestCheckpointRoundTripAPI(t *testing.T) {
 	}
 
 	opt2 := unlimitedOptions(1)
-	opt2.Resume = cp
+	opt2.Checkpoint = &CheckpointPolicy{Resume: cp}
 	opt2.CollectTrees = true
 	part2, err := EnumerateStand(cons, opt2)
 	if err != nil {
@@ -122,6 +125,11 @@ func TestCheckpointRoundTripAPI(t *testing.T) {
 	}
 	if !part2.Complete() {
 		t.Fatalf("resumed run stopped early: %v", part2.Stop)
+	}
+	// Every resume runs the frontier engine: one worker at Threads 1.
+	if part2.Threads != 1 || len(part2.PerWorker) != 1 {
+		t.Fatalf("resume at one thread ran %d workers (%d per-worker rows)",
+			part2.Threads, len(part2.PerWorker))
 	}
 	if part2.StandTrees != ref.StandTrees ||
 		part2.IntermediateStates != ref.IntermediateStates ||
@@ -152,7 +160,7 @@ func TestCheckpointRoundTripAPI(t *testing.T) {
 func TestCheckpointParallelAllowed(t *testing.T) {
 	cons := apiChainConstraints(t, 3, 3)
 	opt := unlimitedOptions(2)
-	opt.CheckpointOnStop = true
+	opt.Checkpoint = &CheckpointPolicy{OnStop: true}
 	res, err := EnumerateStandContext(context.Background(), cons, opt)
 	if err != nil {
 		t.Fatalf("CheckpointOnStop with Threads > 1: %v", err)
@@ -164,49 +172,9 @@ func TestCheckpointParallelAllowed(t *testing.T) {
 		t.Fatal("exhausted run should not produce a checkpoint")
 	}
 	opt = unlimitedOptions(2)
-	opt.Resume = &Checkpoint{}
+	opt.Checkpoint = &CheckpointPolicy{Resume: &Checkpoint{}}
 	if _, err := EnumerateStandContext(context.Background(), cons, opt); err == nil {
 		t.Fatal("resuming an empty checkpoint should fail validation")
-	}
-}
-
-// TestCheckpointPolicyEquivalence: the deprecated per-field knobs translate
-// into the same behavior as an explicit CheckpointPolicy.
-func TestCheckpointPolicyEquivalence(t *testing.T) {
-	cons := apiChainConstraints(t, 5, 5)
-	run := func(opt Options) *Result {
-		t.Helper()
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		n := 0
-		opt.OnTree = func(string) {
-			if n++; n == 50 {
-				cancel()
-			}
-		}
-		res, err := EnumerateStandContext(ctx, cons, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	oldStyle := unlimitedOptions(1)
-	oldStyle.CheckpointOnStop = true
-	oldRes := run(oldStyle)
-
-	newStyle := unlimitedOptions(1)
-	newStyle.Checkpoint = &CheckpointPolicy{OnStop: true}
-	newRes := run(newStyle)
-
-	if oldRes.Checkpoint == nil || newRes.Checkpoint == nil {
-		t.Fatalf("missing checkpoint: old=%v new=%v", oldRes.Checkpoint, newRes.Checkpoint)
-	}
-	// An explicit policy overrides the deprecated fields.
-	both := unlimitedOptions(1)
-	both.CheckpointOnStop = true
-	both.Checkpoint = &CheckpointPolicy{} // explicitly no checkpointing
-	if res := run(both); res.Checkpoint != nil {
-		t.Fatal("explicit empty policy should win over deprecated fields")
 	}
 }
 

@@ -24,9 +24,11 @@
 // Long-running enumerations are cancellable and resumable: the Context
 // variants (EnumerateStandContext, EnumerateFromSpeciesTreeContext) stop
 // with StopCancelled when the context is done, and runs at ANY thread count
-// can checkpoint — on stop, periodically, or on demand — and resume later
-// at any other thread count (Options.Checkpoint; see CheckpointPolicy).
-// The non-context entrypoints are one-line wrappers over the context ones.
+// can checkpoint — on stop, on a wall-clock interval, or on demand — and
+// resume later at any other thread count (Options.Checkpoint; see
+// CheckpointPolicy). Every snapshot is a task frontier, and every resume
+// runs the parallel engine, with one worker at Threads <= 1. The
+// non-context entrypoints are one-line wrappers over the context ones.
 package gentrius
 
 import (
@@ -82,6 +84,11 @@ var (
 	// ErrFingerprint: the checkpoint belongs to different input files (or
 	// the same files in a different order).
 	ErrFingerprint = search.ErrFingerprint
+	// ErrCorruptFrontier: the checkpoint's frontier cannot be replayed on
+	// the input (a bad frame index, a taxon out of range or already placed,
+	// an edge the agile tree does not have). Resume reports it before any
+	// work starts.
+	ErrCorruptFrontier = search.ErrCorruptFrontier
 )
 
 // FaultInjector is the deterministic, seeded fault-injection registry from
@@ -95,14 +102,16 @@ type FaultInjector = faultinject.Injector
 // (no faults).
 func ParseFaults(spec string) (*FaultInjector, error) { return faultinject.Parse(spec) }
 
-// Checkpoint is a serializable snapshot of an enumeration. Serial runs
-// record the branch-and-bound stack (version 1); parallel runs record the
-// quiesced task frontier — queued plus in-flight task snapshots (version
-// 2). Together with the *same* input (same constraint trees, same order —
-// guarded by a fingerprint) either version resumes the run exactly where
-// it stopped, at ANY thread count: a snapshot taken at four threads can
-// resume at one or eight, with final counters equal to an uninterrupted
-// run's. See Options.Checkpoint and CheckpointPolicy.
+// Checkpoint is a serializable snapshot of an enumeration. One format is
+// written: the task frontier (version 2) — queued plus in-flight task
+// snapshots of a quiesced parallel run, or a single task holding a serial
+// run's branch-and-bound stack. Version-1 files (a serial stack, written
+// by older releases) are still read. Together with the *same* input (same
+// constraint trees, same order — guarded by a fingerprint) a snapshot
+// resumes the run exactly where it stopped, at ANY thread count: a
+// snapshot taken at four threads can resume at one or eight, with final
+// counters equal to an uninterrupted run's. See Options.Checkpoint and
+// CheckpointPolicy.
 type Checkpoint = search.Checkpoint
 
 // CheckpointTrigger requests an on-demand snapshot from a running
@@ -154,7 +163,8 @@ const (
 // Options configures an enumeration.
 type Options struct {
 	// Threads is the worker count; values above 1 select the parallel
-	// work-stealing engine.
+	// work-stealing engine, as does resuming a checkpoint (with one worker
+	// at Threads <= 1).
 	Threads int
 
 	// The three stopping rules (Sec. II-B of the paper). Zero values select
@@ -189,38 +199,8 @@ type Options struct {
 
 	// Checkpoint bundles all checkpoint/resume configuration — periodic and
 	// on-stop snapshots, on-demand triggers, and resuming — for any thread
-	// count. Nil disables checkpointing (unless one of the deprecated
-	// per-field knobs below is set; an explicit policy always wins).
+	// count. Nil disables checkpointing.
 	Checkpoint *CheckpointPolicy
-
-	// Resume restores an enumeration from a checkpoint taken on the same
-	// input.
-	//
-	// Deprecated: set CheckpointPolicy.Resume via Options.Checkpoint
-	// instead. Ignored when Options.Checkpoint is non-nil.
-	Resume *Checkpoint
-
-	// CheckpointOnStop captures the engine state into Result.Checkpoint
-	// when the run ends for any reason other than exhaustion.
-	//
-	// Deprecated: set CheckpointPolicy.OnStop via Options.Checkpoint
-	// instead. Ignored when Options.Checkpoint is non-nil.
-	CheckpointOnStop bool
-
-	// CheckpointEvery hands OnCheckpoint a resumable snapshot every this
-	// many stopping-rule checks of a serial run.
-	//
-	// Deprecated: set CheckpointPolicy.Every (or the wall-clock
-	// CheckpointPolicy.Interval, which parallel runs need) via
-	// Options.Checkpoint instead. Ignored when Options.Checkpoint is
-	// non-nil.
-	CheckpointEvery int
-
-	// OnCheckpoint receives each periodic snapshot.
-	//
-	// Deprecated: set CheckpointPolicy.Sink via Options.Checkpoint
-	// instead. Ignored when Options.Checkpoint is non-nil.
-	OnCheckpoint func(cp *Checkpoint)
 
 	// Obs attaches the observability layer (scheduler metrics and/or a
 	// JSONL event trace; see internal/obs). Nil disables it entirely; the
@@ -238,21 +218,17 @@ type Options struct {
 // enumeration at any thread count. Zero-valued fields disable their
 // mechanism; any combination may be active at once.
 //
-// Serial runs snapshot inline at stopping-rule checks. Parallel runs
-// quiesce: every worker parks at a task/step boundary, the queue and the
-// in-flight engine stacks drain into a task-frontier snapshot, and the pool
-// resumes — the enumeration is never restarted. A frontier snapshot resumes
-// at ANY thread count (Options.Threads on the resuming run), with final
-// counters exactly equal to an uninterrupted run's.
+// Serial runs snapshot inline at stopping-rule checks, as a frontier of one
+// task. Parallel runs quiesce: every worker parks at a task/step boundary,
+// the queue and the in-flight engine stacks drain into a task-frontier
+// snapshot, and the pool resumes — the enumeration is never restarted. A
+// frontier snapshot resumes at ANY thread count (Options.Threads on the
+// resuming run), with final counters exactly equal to an uninterrupted
+// run's.
 type CheckpointPolicy struct {
-	// Every snapshots to Sink every this many stopping-rule checks of a
-	// serial run. Parallel runs have no per-check cadence; a policy with
-	// Every > 0 and Interval == 0 maps to a one-second Interval there.
-	Every int
-
-	// Interval snapshots to Sink on a wall-clock cadence — the knob that
-	// works at every thread count. Serial runs evaluate it at stopping-rule
-	// checks; parallel runs run a dedicated checkpoint loop.
+	// Interval snapshots to Sink on a wall-clock cadence, at every thread
+	// count. Serial runs evaluate it at stopping-rule checks; parallel runs
+	// run a dedicated checkpoint loop.
 	Interval time.Duration
 
 	// OnStop captures the final state into Result.Checkpoint when the run
@@ -262,10 +238,11 @@ type CheckpointPolicy struct {
 
 	// Resume restores the enumeration from a checkpoint taken on the same
 	// input (guarded by a fingerprint). InitialTree and Heuristic are taken
-	// from the checkpoint; the resumed run's counters continue from it. Any
-	// Threads count may consume any snapshot: serial (version-1) snapshots
-	// resume parallel and frontier (version-2) snapshots resume serial —
-	// the latter routes through the parallel engine with one worker.
+	// from the checkpoint; the resumed run's counters continue from it.
+	// Every resume runs the frontier (parallel) engine at the requested
+	// Threads count, one worker at Threads <= 1, so any thread count
+	// consumes any snapshot, version-1 files included. A frontier that
+	// cannot replay on the input fails with ErrCorruptFrontier.
 	Resume *Checkpoint
 
 	// Sink receives each periodic snapshot (typically persisted with
@@ -276,24 +253,6 @@ type CheckpointPolicy struct {
 	// Trigger, if non-nil, lets another goroutine request on-demand
 	// snapshots from the running enumeration; see CheckpointTrigger.
 	Trigger *CheckpointTrigger
-}
-
-// policy returns the effective checkpoint policy: the explicit
-// Options.Checkpoint when set, otherwise one translated from the deprecated
-// per-field knobs, or nil when nothing requests checkpointing.
-func (o *Options) policy() *CheckpointPolicy {
-	if o.Checkpoint != nil {
-		return o.Checkpoint
-	}
-	if o.Resume == nil && !o.CheckpointOnStop && o.CheckpointEvery == 0 && o.OnCheckpoint == nil {
-		return nil
-	}
-	return &CheckpointPolicy{
-		Every:  o.CheckpointEvery,
-		OnStop: o.CheckpointOnStop,
-		Resume: o.Resume,
-		Sink:   o.OnCheckpoint,
-	}
 }
 
 // ObsSink bundles an optional metric set and trace recorder for a run —
@@ -326,9 +285,11 @@ type Result struct {
 	Threads int
 	// TasksStolen counts work-stealing task handoffs (parallel runs).
 	TasksStolen int64
-	// PerWorker is each worker's counter contribution (parallel runs;
-	// nil for serial). The sum of PerWorker plus the coordinator's
-	// deterministic-prefix work equals the run totals.
+	// PerWorker is each worker's counter contribution (parallel and
+	// resumed runs, including a resume at one thread; nil for a fresh
+	// serial run). The sum of PerWorker plus the coordinator's
+	// deterministic-prefix work (or, on resume, the checkpoint's counters)
+	// equals the run totals.
 	PerWorker []WorkerCounters
 	// Checkpoint is the resumable snapshot of a run — at any thread count —
 	// that requested CheckpointPolicy.OnStop and was cancelled or hit a
@@ -376,10 +337,8 @@ func engineOptions(ctx context.Context, opt Options) (search.Options, parallel.O
 		Obs:          opt.Obs,
 		Fault:        opt.Fault,
 	}
-	if p := opt.policy(); p != nil {
-		sopt.Resume = p.Resume
+	if p := opt.Checkpoint; p != nil {
 		sopt.CheckpointOnStop = p.OnStop
-		sopt.CheckpointEvery = p.Every
 		sopt.CheckpointInterval = p.Interval
 		sopt.OnCheckpoint = p.Sink
 		sopt.Trigger = p.Trigger
@@ -387,11 +346,6 @@ func engineOptions(ctx context.Context, opt Options) (search.Options, parallel.O
 		popt.Resume = p.Resume
 		popt.CheckpointOnStop = p.OnStop
 		popt.CheckpointInterval = p.Interval
-		if p.Interval == 0 && p.Every > 0 {
-			// The parallel pool has no per-check cadence to count; the
-			// legacy count-based knob maps to a one-second wall cadence.
-			popt.CheckpointInterval = time.Second
-		}
 		popt.OnCheckpoint = p.Sink
 		popt.Trigger = p.Trigger
 	}
@@ -419,11 +373,9 @@ func EnumerateStandContext(ctx context.Context, constraints []*Tree, opt Options
 		ctx = context.Background()
 	}
 	sopt, popt := engineOptions(ctx, opt)
-	// Frontier (version-2) checkpoints describe a task set, not a serial
-	// stack: resuming one at Threads <= 1 routes through the parallel
-	// engine with a single worker, which replays the frontier exactly.
-	frontierResume := popt.Resume != nil && popt.Resume.Frontier != nil
-	if opt.Threads > 1 || frontierResume {
+	// Every resume replays a frontier, which only the parallel engine does:
+	// at Threads <= 1 it runs one worker.
+	if opt.Threads > 1 || popt.Resume != nil {
 		return enumerateParallel(constraints, popt)
 	}
 	return enumerateSerial(constraints, sopt, opt.Obs)
@@ -441,7 +393,7 @@ func enumerateParallel(constraints []*Tree, popt parallel.Options) (*Result, err
 		Stop:               pres.Stop,
 		Elapsed:            pres.Elapsed,
 		InitialIndex:       pres.InitialIndex,
-		Threads:            popt.Threads,
+		Threads:            max(popt.Threads, 1),
 		TasksStolen:        pres.TasksStolen,
 		Trees:              pres.Trees,
 		Checkpoint:         pres.Checkpoint,

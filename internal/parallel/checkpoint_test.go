@@ -3,9 +3,11 @@ package parallel
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -188,50 +190,57 @@ func TestCheckpointCancelResume(t *testing.T) {
 	}
 }
 
-// TestCheckpointV1SerialResumesParallel: a version-1 serial snapshot is
-// consumed by the parallel engine at many threads through the one-task
-// frontier view — the cross-version compatibility satellite.
+// TestCheckpointV1SerialResumesParallel: the committed version-1 fixture —
+// a serial frame stack written by the old serial writer on
+// chainConstraints(4), stopped at half its intermediate states — resumes
+// through the one-task frontier view at one and four threads, to exactly
+// the uninterrupted counters, a duplicate-free remainder of the stand, and
+// an estimator fraction of 1.
 func TestCheckpointV1SerialResumesParallel(t *testing.T) {
-	cons := chainConstraints(3)
-	ref, err := search.Run(cons, search.Options{InitialTree: -1, CollectTrees: true})
+	cons := chainConstraints(4)
+	ref, err := search.Run(cons, search.Options{InitialTree: -1, Limits: unlimited(), CollectTrees: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pre []string
-	res1, err := search.Run(cons, search.Options{
-		InitialTree:      -1,
-		Limits:           search.Limits{MaxStates: ref.IntermediateStates / 2, MaxTrees: -1, MaxTime: -1},
-		CheckEvery:       64,
-		CheckpointOnStop: true,
-		OnTree:           func(nw string) { pre = append(pre, nw) },
-	})
+	cp, err := search.ReadCheckpointFile(filepath.Join("..", "search", "testdata", "v1_serial.ckpt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res1.Checkpoint == nil {
-		t.Fatal("serial run produced no checkpoint")
-	}
-	cp := roundTrip(t, res1.Checkpoint)
 	if cp.Version != 1 || cp.Frontier != nil {
 		t.Fatalf("expected a version-1 serial checkpoint, got v%d", cp.Version)
 	}
+	if cp.Counters.StandTrees == 0 || cp.Counters.StandTrees >= ref.StandTrees {
+		t.Fatalf("fixture at %+v is not mid-run of %+v", cp.Counters, ref.Counters)
+	}
+	inStand := map[string]bool{}
+	for _, nw := range ref.Trees {
+		inStand[nw] = true
+	}
 	for _, threads := range []int{1, 4} {
-		res2, err := Run(cons, Options{Threads: threads, Limits: unlimited(), Resume: cp, CollectTrees: true})
+		est := &obs.Estimator{}
+		res, err := Run(cons, Options{
+			Threads: threads, Limits: unlimited(), Resume: cp, CollectTrees: true,
+			Obs: &obs.Sink{Estimate: est},
+		})
 		if err != nil {
 			t.Fatalf("threads %d: %v", threads, err)
 		}
-		if res2.Counters != ref.Counters {
-			t.Fatalf("threads %d: resumed totals %+v != serial %+v", threads, res2.Counters, ref.Counters)
+		if res.Stop != search.StopExhausted || res.Counters != ref.Counters {
+			t.Fatalf("threads %d: resumed %v with totals %+v, uninterrupted %+v",
+				threads, res.Stop, res.Counters, ref.Counters)
 		}
-		combined := append(append([]string(nil), pre...), res2.Trees...)
-		cs, rs := sortedCopy(combined), sortedCopy(ref.Trees)
-		if len(cs) != len(rs) {
-			t.Fatalf("threads %d: %d trees, want %d", threads, len(cs), len(rs))
+		if want := ref.StandTrees - cp.Counters.StandTrees; int64(len(res.Trees)) != want {
+			t.Fatalf("threads %d: %d trees after the snapshot, want %d", threads, len(res.Trees), want)
 		}
-		for i := range cs {
-			if cs[i] != rs[i] {
-				t.Fatalf("threads %d: stand differs at %d", threads, i)
+		seen := map[string]bool{}
+		for _, nw := range res.Trees {
+			if !inStand[nw] || seen[nw] {
+				t.Fatalf("threads %d: resumed tree %s is foreign or repeated", threads, nw)
 			}
+			seen[nw] = true
+		}
+		if f := est.Fraction(); math.Abs(f-1) > 1e-9 {
+			t.Fatalf("threads %d: estimator fraction %.12f on exhaustion, want 1", threads, f)
 		}
 	}
 }
@@ -554,5 +563,51 @@ func TestCheckpointBackToBackQuiesce(t *testing.T) {
 			t.Fatalf("snapshot %d (of %d) dropped work: resumed totals %+v, want %+v",
 				i, len(cps), got.Counters, ref.Counters)
 		}
+	}
+}
+
+// TestResumeRejectsCorruptFrontier: a frontier whose prefix, task path or
+// frame names a taxon outside the universe must fail the resume up front
+// with ErrCorruptFrontier — no panic, no retry, no worker started. Replayed
+// unchecked, the prefix case panics outside any recover and kills the
+// process; the path and frame cases panic through four retries.
+func TestResumeRejectsCorruptFrontier(t *testing.T) {
+	cons := chainConstraints(4)
+	res1, err := search.Run(cons, search.Options{
+		InitialTree:      -1,
+		Limits:           search.Limits{MaxStates: 60, MaxTrees: -1, MaxTime: -1},
+		CheckEvery:       16,
+		CheckpointOnStop: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res1.Checkpoint == nil {
+		t.Fatal("serial run produced no checkpoint")
+	}
+	cases := map[string]func(fr *search.Frontier){
+		"prefix": func(fr *search.Frontier) { fr.Prefix = []search.PathStep{{Taxon: 999, Edge: 0}} },
+		"path":   func(fr *search.Frontier) { fr.Tasks[0].Path = []search.PathStep{{Taxon: 999, Edge: 0}} },
+		"frame":  func(fr *search.Frontier) { fr.Tasks[0].Frames[0].Taxon = 999 },
+	}
+	for name, corrupt := range cases {
+		t.Run(name, func(t *testing.T) {
+			cp := roundTrip(t, res1.Checkpoint) // a private deep copy
+			corrupt(cp.Frontier)
+			m := obs.NewSchedMetrics(obs.NewRegistry())
+			res, err := Run(cons, Options{
+				Threads: 2, Limits: unlimited(), Resume: cp, Obs: &obs.Sink{Metrics: m},
+			})
+			if !errors.Is(err, search.ErrCorruptFrontier) {
+				t.Fatalf("err = %v (result %+v), want ErrCorruptFrontier", err, res)
+			}
+			var wpe *WorkerPanicError
+			if errors.As(err, &wpe) {
+				t.Fatalf("corrupt frontier surfaced as a worker panic: %v", err)
+			}
+			if n := m.WorkerPanics.Value(); n != 0 {
+				t.Fatalf("%d worker panics recovered, want 0", n)
+			}
+		})
 	}
 }

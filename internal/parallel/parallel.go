@@ -138,11 +138,13 @@ type Options struct {
 	// (same constraint trees, same order) instead of starting fresh: the
 	// checkpoint's frontier is seeded into the task queue and the workers
 	// all start in the stealing pool. Any thread count resumes any
-	// checkpoint — including version-1 serial snapshots, whose frame stack
-	// is viewed as a one-task frontier. The initial tree and insertion
-	// heuristic come from the checkpoint; InitialTree and Heuristic are
-	// ignored. Counters continue from the checkpoint, so a resumed run's
-	// final counters equal an uninterrupted run's exactly.
+	// checkpoint — including version-1 files from older releases, whose
+	// frame stack is viewed as a one-task frontier. The initial tree and
+	// insertion heuristic come from the checkpoint; InitialTree and
+	// Heuristic are ignored. Counters continue from the checkpoint, so a resumed run's
+	// final counters equal an uninterrupted run's exactly. A frontier whose
+	// steps cannot replay on the input fails the run with an error wrapping
+	// search.ErrCorruptFrontier before any worker starts.
 	Resume *search.Checkpoint
 
 	// CheckpointOnStop captures the outstanding frontier into
@@ -488,15 +490,13 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 	g.ckptOnStop = opt.CheckpointOnStop
 
 	// Resume: validate the checkpoint against the input and view it as a
-	// frontier (a v1 serial checkpoint synthesizes a one-task frontier, so
-	// any snapshot resumes onto any thread count). The initial tree and
+	// frontier (an old v1 serial checkpoint synthesizes a one-task frontier,
+	// so any snapshot resumes onto any thread count), rejecting one whose
+	// steps cannot replay before any terrace is built. The initial tree and
 	// heuristic come from the checkpoint.
 	var resumeFr *search.Frontier
 	if opt.Resume != nil {
-		if err := opt.Resume.Validate(constraints); err != nil {
-			return nil, err
-		}
-		fr, err := opt.Resume.FrontierView()
+		fr, err := opt.Resume.ResumeFrontier(constraints)
 		if err != nil {
 			return nil, err
 		}

@@ -3,7 +3,6 @@ package search
 import (
 	"context"
 	"fmt"
-	"sort"
 	"testing"
 	"time"
 
@@ -102,140 +101,12 @@ func TestRunPreCancelled(t *testing.T) {
 	}
 }
 
-// TestCancelCheckpointResumeEqualsUninterrupted is the acceptance
-// criterion: cancel a run, checkpoint it, resume it, and end with exactly
-// the counters (and stand) of an uninterrupted run.
-func TestCancelCheckpointResumeEqualsUninterrupted(t *testing.T) {
-	cons := chainConstraints(t, 5, 5) // finite, but >> one check interval
-	ref, err := Run(cons, Options{
-		InitialTree:  -1,
-		Limits:       Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1},
-		CollectTrees: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ref.Stop != StopExhausted {
-		t.Fatalf("reference run stopped early: %v", ref.Stop)
-	}
-	if ref.Steps <= 1024 {
-		t.Fatalf("reference run too small (%d steps) to interrupt meaningfully", ref.Steps)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	part1, err := Run(cons, Options{
-		InitialTree:      -1,
-		Limits:           Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1},
-		CollectTrees:     true,
-		Ctx:              ctx,
-		CheckpointOnStop: true,
-		OnCheck:          func(Counters, time.Duration) { cancel() },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if part1.Stop != StopCancelled {
-		t.Fatalf("interrupted run stop = %v", part1.Stop)
-	}
-	if part1.Checkpoint == nil {
-		t.Fatal("no checkpoint captured on cancellation")
-	}
-	if part1.Counters == ref.Counters {
-		t.Fatal("interrupted run already finished; nothing was tested")
-	}
-
-	part2, err := Run(cons, Options{
-		Limits:       Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1},
-		CollectTrees: true,
-		Resume:       part1.Checkpoint,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if part2.Stop != StopExhausted {
-		t.Fatalf("resumed run stopped early: %v", part2.Stop)
-	}
-	// The resumed engine continues from the checkpoint counters, so its
-	// final counters are the combined totals.
-	if part2.Counters != ref.Counters {
-		t.Fatalf("resumed counters %+v != uninterrupted %+v", part2.Counters, ref.Counters)
-	}
-	if part2.InitialIndex != ref.InitialIndex {
-		t.Fatalf("resumed initial index %d != %d", part2.InitialIndex, ref.InitialIndex)
-	}
-	// The two partial stands partition the full stand exactly.
-	combined := append(append([]string(nil), part1.Trees...), part2.Trees...)
-	if int64(len(combined)) != ref.StandTrees {
-		t.Fatalf("combined %d trees, reference %d", len(combined), ref.StandTrees)
-	}
-	sort.Strings(combined)
-	refTrees := append([]string(nil), ref.Trees...)
-	sort.Strings(refTrees)
-	for i := range combined {
-		if combined[i] != refTrees[i] {
-			t.Fatalf("combined stand differs from reference at %d", i)
-		}
-	}
-}
-
-// TestResumeLimitStop checks that checkpoint-on-stop also covers stopping
-// rules (not only cancellation) and chains across multiple resumes.
-func TestResumeLimitStopChain(t *testing.T) {
-	cons := chainConstraints(t, 5, 5)
-	ref, err := Run(cons, Options{InitialTree: -1, Limits: Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	limit := ref.StandTrees / 3
-	if limit == 0 {
-		t.Fatal("stand too small")
-	}
-	res, err := Run(cons, Options{
-		InitialTree:      -1,
-		Limits:           Limits{MaxTrees: limit, MaxStates: -1, MaxTime: -1},
-		CheckpointOnStop: true,
-		CheckEvery:       64,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hops := 0
-	for res.Checkpoint != nil {
-		if res.Stop != StopTreeLimit {
-			t.Fatalf("hop %d: stop = %v", hops, res.Stop)
-		}
-		hops++
-		if hops > 10 {
-			t.Fatal("resume chain does not terminate")
-		}
-		res, err = Run(cons, Options{
-			Limits:           Limits{MaxTrees: res.StandTrees + limit, MaxStates: -1, MaxTime: -1},
-			CheckpointOnStop: true,
-			CheckEvery:       64,
-			Resume:           res.Checkpoint,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if res.Stop != StopExhausted {
-		t.Fatalf("final stop = %v", res.Stop)
-	}
-	if res.Counters != ref.Counters {
-		t.Fatalf("chained counters %+v != uninterrupted %+v", res.Counters, ref.Counters)
-	}
-	if hops < 2 {
-		t.Fatalf("only %d resume hops; limit did not bite", hops)
-	}
-}
-
 func TestCheckpointRejectsStaticOrder(t *testing.T) {
 	cons := chainConstraints(t, 4, 4)
 	if _, err := Run(cons, Options{InitialTree: -1, CheckpointOnStop: true, DisableDynamicOrder: true}); err == nil {
 		t.Fatal("CheckpointOnStop with DisableDynamicOrder should error")
 	}
-	if _, err := Run(cons, Options{Resume: &Checkpoint{Version: checkpointVersion}, DisableDynamicOrder: true}); err == nil {
-		t.Fatal("Resume with DisableDynamicOrder should error")
+	if _, err := Run(cons, Options{Trigger: NewCheckpointTrigger(), DisableDynamicOrder: true}); err == nil {
+		t.Fatal("Trigger with DisableDynamicOrder should error")
 	}
 }

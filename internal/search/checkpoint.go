@@ -4,22 +4,23 @@ import (
 	"fmt"
 	"io"
 
-	"gentrius/internal/terrace"
+	"gentrius/internal/bitset"
 	"gentrius/internal/tree"
 )
 
 // Checkpoint is a serializable snapshot of a running enumeration. The
 // paper's third stopping rule defaults to 168 hours; runs of that length
-// need to survive restarts. Two payload versions exist:
+// need to survive restarts. Every engine writes one payload version:
 //
-//   - Version 1 (serial): the branch-and-bound stack of a single engine —
-//     each frame's taxon, branch list and position — plus the counters.
-//   - Version 2 (frontier): a quiesced parallel run — the prefix path plus
-//     the task frontier (queued + in-flight task snapshots, see Frontier).
-//     A v2 checkpoint resumes onto any thread count.
+//   - Version 2 (frontier): the prefix path plus the task frontier (queued
+//     and in-flight task snapshots, see Frontier). A serial run's frontier
+//     is one task holding its whole frame stack. It resumes onto any
+//     thread count.
 //
-// Together with the original input either version restores the enumeration
-// exactly: the resumed run produces exactly the remaining work.
+// Version 1 files (a serial engine's bare frame stack, written by older
+// releases) are still read: FrontierView turns them into a one-task
+// frontier. Together with the original input the snapshot restores the
+// enumeration exactly: the resumed run produces exactly the remaining work.
 //
 // The constraint trees themselves are NOT stored: the caller re-supplies
 // the same input (same trees, same order) on restore, and a fingerprint
@@ -40,7 +41,7 @@ type Checkpoint struct {
 // frame's Knuth-estimator branch weight, fixed when the frame was pushed;
 // it must be stored rather than re-derived because work stealing shrinks a
 // live frame's branch list after the weight was fixed (v1 serial frames
-// never lose branches, so their weights stay derivable — see InitWeights).
+// never lose branches, so their weights stay derivable — see FrontierView).
 type FrameSnapshot struct {
 	Taxon    int     `json:"taxon"`
 	Branches []int32 `json:"branches"`
@@ -68,9 +69,9 @@ type FrontierTask struct {
 	Frames []FrameSnapshot `json:"frames"`
 }
 
-// Checkpoint payload versions. checkpointVersion (1) is the serial
-// frame-stack format; checkpointVersionFrontier (2) adds the Frontier
-// section for parallel runs.
+// Checkpoint payload versions. checkpointVersion (1) is the old serial
+// frame-stack format, only read; checkpointVersionFrontier (2) holds the
+// Frontier section and is the only version written.
 const (
 	checkpointVersion         = 1
 	checkpointVersionFrontier = 2
@@ -96,21 +97,16 @@ func fingerprint(constraints []*tree.Tree) string {
 // these constraint trees (order-sensitive).
 func Fingerprint(constraints []*tree.Tree) string { return fingerprint(constraints) }
 
-// Snapshot captures a serial engine's current state as a version-1
-// checkpoint. It must not be called on an engine created with
-// NewEngineWithFrame or NewEngineFromFrames: worker task engines are
-// snapshotted through the frontier path (SnapshotFrames) instead.
-func (e *Engine) Snapshot(constraints []*tree.Tree, initialIndex int) *Checkpoint {
-	return &Checkpoint{
-		Version:      checkpointVersion,
-		Fingerprint:  fingerprint(constraints),
-		InitialIndex: initialIndex,
-		Heuristic:    e.Heuristic,
-		Frames:       e.SnapshotFrames(nil),
-		Counters:     e.counters,
-		Done:         e.done,
-		Started:      e.started,
+// serialCheckpoint snapshots a serial engine as a frontier with an empty
+// prefix and one task holding the engine's frame stack. Serial frames carry
+// their estimator weights from the push, so the snapshot resumes like any
+// quiesced pool's, at any thread count.
+func serialCheckpoint(e *Engine, constraints []*tree.Tree, initialIndex int) *Checkpoint {
+	fr := &Frontier{Threads: 1}
+	if frames := e.SnapshotFrames(nil); len(frames) > 0 {
+		fr.Tasks = []FrontierTask{{Frames: frames}}
 	}
+	return NewFrontierCheckpoint(constraints, initialIndex, e.Heuristic, e.counters, fr)
 }
 
 // NewFrontierCheckpoint assembles a version-2 checkpoint around a quiesced
@@ -131,8 +127,7 @@ func NewFrontierCheckpoint(constraints []*tree.Tree, initialIndex int, h OrderHe
 
 // Validate checks a checkpoint against the supplied constraint trees:
 // payload version, version/frontier consistency, input fingerprint and
-// initial-index range. Both the serial and the frontier resume paths call
-// this before touching any frame.
+// initial-index range. ResumeFrontier calls this before touching any frame.
 func (cp *Checkpoint) Validate(constraints []*tree.Tree) error {
 	switch cp.Version {
 	case checkpointVersion:
@@ -156,62 +151,105 @@ func (cp *Checkpoint) Validate(constraints []*tree.Tree) error {
 	return nil
 }
 
-// Restore rebuilds a serial engine from a version-1 checkpoint and the
-// original input. Version-2 (frontier) checkpoints resume through the
-// parallel engine instead — at any thread count, including one.
-func Restore(cp *Checkpoint, constraints []*tree.Tree) (*Engine, error) {
-	if cp.Version == checkpointVersionFrontier {
-		return nil, fmt.Errorf("search: frontier checkpoint cannot restore a serial engine; resume through the parallel path: %w", ErrVersion)
-	}
+// ResumeFrontier is the one check a resume runs before it builds any
+// terrace: Validate, then FrontierView, then a replay of every step on the
+// agile tree's leaf set and edge count (see checkReplay). A frontier that
+// fails the replay is an error wrapping ErrCorruptFrontier.
+func (cp *Checkpoint) ResumeFrontier(constraints []*tree.Tree) (*Frontier, error) {
 	if err := cp.Validate(constraints); err != nil {
 		return nil, err
 	}
-	t, err := terrace.New(constraints, cp.InitialIndex)
+	fr, err := cp.FrontierView()
 	if err != nil {
 		return nil, err
 	}
-	e := NewEngine(t)
-	e.Heuristic = cp.Heuristic
-	e.started = true
-	e.counters = cp.Counters
-	for _, fs := range cp.Frames {
-		f := Frame{
-			Taxon:    fs.Taxon,
-			Branches: append([]int32(nil), fs.Branches...),
-			idx:      fs.Idx,
-			inserted: fs.Inserted,
-			weight:   fs.Weight,
-		}
-		if fs.Idx < 0 || fs.Idx > len(fs.Branches) {
-			return nil, fmt.Errorf("search: corrupt checkpoint frame (idx %d of %d branches)",
-				fs.Idx, len(fs.Branches))
-		}
-		if f.inserted {
-			if f.idx == 0 {
-				return nil, fmt.Errorf("search: corrupt checkpoint frame (inserted with idx 0)")
-			}
-			t.ExtendTaxon(f.Taxon, f.Branches[f.idx-1])
-		}
-		e.frames = append(e.frames, f)
+	if err := checkReplay(constraints[cp.InitialIndex], fr); err != nil {
+		return nil, err
 	}
-	e.done = cp.Done
-	e.started = cp.Started
-	return e, nil
+	return fr, nil
+}
+
+// agileReplay tracks what a replay needs of the agile tree: which taxa are
+// on it and how many edges it has (ids are the dense prefix [0, edges)).
+type agileReplay struct {
+	placed *bitset.Set
+	edges  int
+}
+
+// admit checks that taxon is missing from the agile tree and that every
+// edge is one of its edges.
+func (a *agileReplay) admit(taxon int, edges ...int32) error {
+	if taxon < 0 || taxon >= a.placed.Len() {
+		return fmt.Errorf("taxon %d out of range [0,%d)", taxon, a.placed.Len())
+	}
+	if a.placed.Has(taxon) {
+		return fmt.Errorf("taxon %d is already on the agile tree", taxon)
+	}
+	for _, e := range edges {
+		if e < 0 || int(e) >= a.edges {
+			return fmt.Errorf("edge %d out of range for taxon %d (agile tree has %d edges)", e, taxon, a.edges)
+		}
+	}
+	return nil
+}
+
+// place inserts taxon: one new leaf adds two edges.
+func (a *agileReplay) place(taxon int) {
+	a.placed.Add(taxon)
+	a.edges += 2
+}
+
+func (a *agileReplay) clone() *agileReplay {
+	return &agileReplay{placed: a.placed.Clone(), edges: a.edges}
+}
+
+// checkReplay walks the frontier's prefix, then each task's path and
+// frames, from the initial agile tree: every taxon must be in range and
+// not yet placed at its point of the replay, and every edge — each path
+// step's and every branch of every frame — must exist on the agile tree at
+// that depth. Without this check an out-of-range taxon or edge panics
+// inside a worker's terrace replay.
+func checkReplay(initial *tree.Tree, fr *Frontier) error {
+	root := &agileReplay{placed: initial.LeafSet().Clone(), edges: initial.NumEdges()}
+	for i, s := range fr.Prefix {
+		if err := root.admit(s.Taxon, s.Edge); err != nil {
+			return fmt.Errorf("search: frontier prefix step %d: %v: %w", i, err, ErrCorruptFrontier)
+		}
+		root.place(s.Taxon)
+	}
+	for ti, task := range fr.Tasks {
+		a := root.clone()
+		for i, s := range task.Path {
+			if err := a.admit(s.Taxon, s.Edge); err != nil {
+				return fmt.Errorf("search: frontier task %d path step %d: %v: %w", ti, i, err, ErrCorruptFrontier)
+			}
+			a.place(s.Taxon)
+		}
+		for i, f := range task.Frames {
+			if err := a.admit(f.Taxon, f.Branches...); err != nil {
+				return fmt.Errorf("search: frontier task %d frame %d: %v: %w", ti, i, err, ErrCorruptFrontier)
+			}
+			if f.Inserted {
+				a.place(f.Taxon)
+			}
+		}
+	}
+	return nil
 }
 
 // FrontierView returns the checkpoint's outstanding work as a frontier,
 // regardless of payload version. A version-2 checkpoint returns its stored
 // frontier; a version-1 serial checkpoint is synthesized into a one-task
 // frontier with weights re-derived top-down (valid because serial frames
-// never lose branches to stealing). This is what lets a serial snapshot
-// resume onto any thread count. The returned frontier is validated:
-// frame indices in range, inserted frames with a chosen branch, weights
-// present on every frame that still has branches.
+// never lose branches to stealing). The returned frontier is structurally
+// validated: frame indices in range, inserted frames with a chosen branch,
+// weights present on every frame that still has branches. Failures wrap
+// ErrCorruptFrontier.
 func (cp *Checkpoint) FrontierView() (*Frontier, error) {
 	if cp.Frontier != nil {
 		for ti := range cp.Frontier.Tasks {
 			if err := validateTaskFrames(cp.Frontier.Tasks[ti].Frames, true); err != nil {
-				return nil, fmt.Errorf("search: frontier task %d: %w", ti, err)
+				return nil, fmt.Errorf("search: frontier task %d: %v: %w", ti, err, ErrCorruptFrontier)
 			}
 		}
 		return cp.Frontier, nil
@@ -221,7 +259,7 @@ func (cp *Checkpoint) FrontierView() (*Frontier, error) {
 		return fr, nil
 	}
 	if err := validateTaskFrames(cp.Frames, false); err != nil {
-		return nil, fmt.Errorf("search: serial checkpoint frames: %w", err)
+		return nil, fmt.Errorf("search: serial checkpoint frames: %v: %w", err, ErrCorruptFrontier)
 	}
 	frames := make([]FrameSnapshot, len(cp.Frames))
 	parentW := 1.0

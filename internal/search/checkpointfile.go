@@ -21,6 +21,11 @@ var (
 	// ErrFingerprint: the checkpoint was taken on different constraint
 	// trees (or the same trees in a different order) than those supplied.
 	ErrFingerprint = errors.New("checkpoint input fingerprint mismatch")
+	// ErrCorruptFrontier: the frontier cannot be replayed on the supplied
+	// input (a frame index out of range, a missing weight, a taxon out of
+	// range or already placed, an edge the agile tree does not have).
+	// Resume rejects it before any terrace is built.
+	ErrCorruptFrontier = errors.New("checkpoint frontier corrupt")
 )
 
 // envelopeFormat frames checkpoint files from this PR on: a small JSON

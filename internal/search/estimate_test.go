@@ -1,7 +1,7 @@
 // Tests of the online work estimator: the weighted backtrack mass must
-// telescope to exactly 1 on exhaustion, approximate the true explored
-// fraction mid-run, and survive checkpoint/resume with the consumed mass
-// re-seeded.
+// telescope to exactly 1 on exhaustion and approximate the true explored
+// fraction mid-run. Its survival across checkpoint/resume is tested in
+// resume_test.go.
 package search
 
 import (
@@ -97,53 +97,5 @@ func TestEstimatorConvergence(t *testing.T) {
 	}
 	if passed < needed-1 {
 		t.Fatalf("only %d/%d sizable seeds were within 2x of the true fraction at the halfway mark", passed, checked)
-	}
-}
-
-// TestEstimatorResumeSeedsConsumedMass: a run interrupted by a state limit
-// and resumed from its checkpoint with a fresh estimator must still end at
-// fraction 1 — InitWeights reconstructs the mass consumed before the
-// snapshot.
-func TestEstimatorResumeSeedsConsumedMass(t *testing.T) {
-	rng := rand.New(rand.NewSource(909))
-	tested := 0
-	for scen := 0; scen < 25 && tested < 5; scen++ {
-		cons := randomScenario(rng, 13+rng.Intn(5), 2+rng.Intn(2), 4, 0.45)
-		first, err := Run(cons, Options{
-			Limits:           Limits{MaxTrees: -1, MaxStates: int64(30 + rng.Intn(120)), MaxTime: -1},
-			CheckEvery:       16,
-			CheckpointOnStop: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if first.Checkpoint == nil {
-			continue // exhausted before the limit fired
-		}
-		est := &obs.Estimator{}
-		res, err := Run(cons, Options{
-			Limits:    Limits{MaxTrees: -1, MaxStates: -1, MaxTime: -1},
-			Estimator: est,
-			Resume:    first.Checkpoint,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Stop != StopExhausted {
-			t.Fatalf("scenario %d: resumed run not exhausted: %v", scen, res.Stop)
-		}
-		if f := est.Fraction(); math.Abs(f-1) > 1e-9 {
-			t.Fatalf("scenario %d: resumed fraction = %.12f, want 1 (checkpoint at %d states)",
-				scen, f, first.IntermediateStates)
-		}
-		// The seeded counters plus the resumed half equal the full run's.
-		if est.States() != res.IntermediateStates {
-			t.Fatalf("scenario %d: estimator states %d, result %d",
-				scen, est.States(), res.IntermediateStates)
-		}
-		tested++
-	}
-	if tested < 5 {
-		t.Fatalf("only %d/5 scenarios hit the state limit", tested)
 	}
 }

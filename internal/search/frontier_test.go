@@ -14,9 +14,8 @@ import (
 	"gentrius/internal/tree"
 )
 
-// frontierSample interrupts a serial engine and wraps its stack into a
-// version-2 frontier checkpoint (one task), mirroring what a quiesced
-// one-worker pool would produce.
+// frontierSample interrupts a serial engine and takes its version-2
+// frontier checkpoint (one task holding the engine's stack).
 func frontierSample(t *testing.T, rng *rand.Rand) (*Checkpoint, []*tree.Tree) {
 	t.Helper()
 	cons := randomScenario(rng, 11, 2, 4, 0.55)
@@ -31,32 +30,25 @@ func frontierSample(t *testing.T, rng *rand.Rand) (*Checkpoint, []*tree.Tree) {
 			t.Skip("scenario exhausted before the snapshot point")
 		}
 	}
-	v1 := e.Snapshot(cons, idx)
-	fr, err := v1.FrontierView()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp := NewFrontierCheckpoint(cons, idx, v1.Heuristic, v1.Counters, fr)
-	return cp, cons
+	return serialCheckpoint(e, cons, idx), cons
 }
 
+// TestFrontierViewV1Derivation reads the committed version-1 fixture —
+// written by the old serial writer on the parallel package's
+// chainConstraints(4), stopped at half its intermediate states — and views
+// it as a one-task frontier with weights re-derived top-down.
 func TestFrontierViewV1Derivation(t *testing.T) {
-	rng := rand.New(rand.NewSource(9090))
-	cons := randomScenario(rng, 11, 2, 4, 0.55)
-	idx := ChooseInitialTree(cons)
-	tr, err := terrace.New(cons, idx)
+	cp, err := ReadCheckpointFile(filepath.Join("testdata", "v1_serial.ckpt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewEngine(tr)
-	for i := 0; i < 25; i++ {
-		if e.Step() == EvDone {
-			t.Skip("scenario exhausted before the snapshot point")
-		}
+	if cp.Version != checkpointVersion || cp.Frontier != nil || len(cp.Frames) == 0 {
+		t.Fatalf("fixture should be v1 frames without a frontier: %+v", cp)
 	}
-	cp := e.Snapshot(cons, idx)
-	if cp.Version != checkpointVersion || cp.Frontier != nil {
-		t.Fatalf("serial snapshot should be v1 without a frontier: %+v", cp)
+	// Version-1 files from before the estimator carry no weights: clear
+	// them so the view has to derive every one.
+	for i := range cp.Frames {
+		cp.Frames[i].Weight = 0
 	}
 	fr, err := cp.FrontierView()
 	if err != nil {
@@ -108,19 +100,12 @@ func TestFrontierCheckpointRoundTrip(t *testing.T) {
 	if got.Version != checkpointVersionFrontier || got.Frontier == nil {
 		t.Fatalf("round trip lost the frontier: v%d frontier=%v", got.Version, got.Frontier != nil)
 	}
-	if err := got.Validate(cons); err != nil {
-		t.Fatal(err)
-	}
-	fr, err := got.FrontierView()
+	fr, err := got.ResumeFrontier(cons)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(fr.Tasks) != len(cp.Frontier.Tasks) {
 		t.Fatalf("task count %d, want %d", len(fr.Tasks), len(cp.Frontier.Tasks))
-	}
-	// A frontier checkpoint refuses the serial Restore path with ErrVersion.
-	if _, err := Restore(got, cons); !errors.Is(err, ErrVersion) {
-		t.Fatalf("Restore on a v2 checkpoint: err = %v, want ErrVersion", err)
 	}
 }
 

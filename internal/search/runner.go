@@ -25,10 +25,6 @@ const (
 	StopFailed                       // the run died (e.g. a worker panic exhausted its retry budget)
 )
 
-// StopExternal is the former name of StopCancelled, kept for callers that
-// predate the context-first API.
-const StopExternal = StopCancelled
-
 func (s StopReason) String() string {
 	switch s {
 	case StopExhausted:
@@ -132,9 +128,7 @@ type Options struct {
 	// Estimator, if set, accumulates the weighted backtrack fraction-
 	// complete measure: every closed leaf's random-descent probability is
 	// added as the engine backtracks, and the live counters are merged at
-	// every stopping-rule check. A resumed run seeds the estimator with the
-	// mass already consumed before the checkpoint, so its fraction matches
-	// an uninterrupted run's.
+	// every stopping-rule check.
 	Estimator *obs.Estimator
 
 	// Ctx cancels the run. It is polled only at the periodic stopping-rule
@@ -143,38 +137,26 @@ type Options struct {
 	// with Stop == StopCancelled; the context's error is not propagated.
 	Ctx context.Context
 
-	// Resume restores the engine from a checkpoint taken on the same input
-	// (same constraint trees, same order) instead of starting fresh. The
-	// initial tree and insertion heuristic come from the checkpoint;
-	// InitialTree, Heuristic and the static-order ablation fields are
-	// ignored. The resumed run's counters continue from the checkpoint, so
-	// its final counters equal an uninterrupted run's exactly.
-	Resume *Checkpoint
-
 	// CheckpointOnStop captures the engine state into Result.Checkpoint
 	// when the run ends for any reason other than exhaustion (cancellation
 	// or a stopping rule). It requires the dynamic insertion order (the
 	// default): checkpoints do not record a static Order.
+	//
+	// Every snapshot of a serial run is a version-2 frontier with one task
+	// (the engine's frame stack); it resumes through the frontier engine
+	// (internal/parallel) at any thread count.
 	CheckpointOnStop bool
-
-	// CheckpointEvery snapshots the engine every this many stopping-rule
-	// checks (i.e. every CheckpointEvery*CheckEvery steps) and hands the
-	// snapshot to OnCheckpoint — the survival mechanism for hard crashes,
-	// where CheckpointOnStop never gets to run. Zero disables periodic
-	// checkpointing. Requires the dynamic insertion order, like
-	// CheckpointOnStop.
-	CheckpointEvery int
 
 	// OnCheckpoint receives each periodic snapshot. The callback owns
 	// persistence (and any retry policy); the search loop itself does no
-	// file I/O. Ignored when both CheckpointEvery and CheckpointInterval
-	// are zero.
+	// file I/O. Ignored when CheckpointInterval is zero.
 	OnCheckpoint func(cp *Checkpoint)
 
 	// CheckpointInterval snapshots the engine to OnCheckpoint on a wall-
-	// clock cadence instead of (or in addition to) the check-count cadence
-	// of CheckpointEvery. The interval is evaluated at stopping-rule
-	// checks, so the effective period is at least one CheckEvery batch.
+	// clock cadence — the survival mechanism for hard crashes, where
+	// CheckpointOnStop never gets to run. The interval is evaluated at
+	// stopping-rule checks, so the effective period is at least one
+	// CheckEvery batch. Zero disables periodic checkpointing.
 	CheckpointInterval time.Duration
 
 	// Trigger, if set, lets another goroutine request an on-demand
@@ -191,9 +173,10 @@ type Result struct {
 	Trees        []string
 	InitialIndex int
 	Steps        int64 // total engine transitions (insertions + removals)
-	// Checkpoint holds the engine snapshot when Options.CheckpointOnStop
-	// was set and a stopping rule or cancellation ended the run (nil when
-	// the stand was exhausted: there is nothing left to resume).
+	// Checkpoint holds the engine's frontier snapshot when
+	// Options.CheckpointOnStop was set and a stopping rule or cancellation
+	// ended the run (nil when the stand was exhausted: there is nothing
+	// left to resume).
 	Checkpoint *Checkpoint
 }
 
@@ -205,9 +188,8 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 	if opt.CheckEvery <= 0 {
 		opt.CheckEvery = 1024
 	}
-	periodic := opt.CheckpointEvery > 0 && opt.OnCheckpoint != nil
 	interval := opt.CheckpointInterval > 0 && opt.OnCheckpoint != nil
-	checkpointing := opt.Resume != nil || opt.CheckpointOnStop || periodic || interval || opt.Trigger != nil
+	checkpointing := opt.CheckpointOnStop || interval || opt.Trigger != nil
 	if checkpointing && opt.DisableDynamicOrder {
 		return nil, fmt.Errorf("search: checkpointing requires the dynamic insertion order")
 	}
@@ -217,62 +199,43 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 	res := &Result{Stop: StopExhausted}
 	start := time.Now()
 
-	var eng *Engine
-	if opt.Resume != nil {
-		e, err := Restore(opt.Resume, constraints)
-		if err != nil {
-			return nil, err
+	idx := opt.InitialTree
+	if idx < 0 {
+		if opt.DisableInitialTreeHeuristic {
+			idx = 0
+		} else {
+			idx = ChooseInitialTree(constraints)
 		}
-		eng = e
-		res.InitialIndex = opt.Resume.InitialIndex
-	} else {
-		idx := opt.InitialTree
-		if idx < 0 {
-			if opt.DisableInitialTreeHeuristic {
-				idx = 0
-			} else {
-				idx = ChooseInitialTree(constraints)
-			}
-		}
-		if idx >= len(constraints) {
-			return nil, fmt.Errorf("search: initial tree index %d out of range", idx)
-		}
-		res.InitialIndex = idx
+	}
+	if idx >= len(constraints) {
+		return nil, fmt.Errorf("search: initial tree index %d out of range", idx)
+	}
+	res.InitialIndex = idx
 
-		t, err := terrace.New(constraints, idx)
-		if err != nil {
-			if errors.Is(err, terrace.ErrIncompatible) {
-				res.Elapsed = time.Since(start)
-				return res, nil
-			}
-			return nil, err
+	t, err := terrace.New(constraints, idx)
+	if err != nil {
+		if errors.Is(err, terrace.ErrIncompatible) {
+			res.Elapsed = time.Since(start)
+			return res, nil
 		}
-		eng = NewEngine(t)
-		eng.Heuristic = opt.Heuristic
-		if opt.DisableDynamicOrder {
-			eng.DynamicOrder = false
-			eng.Order = append([]int(nil), t.MissingTaxa()...)
-			if opt.ShuffleSeed != 0 {
-				rng := rand.New(rand.NewSource(opt.ShuffleSeed))
-				rng.Shuffle(len(eng.Order), func(i, j int) {
-					eng.Order[i], eng.Order[j] = eng.Order[j], eng.Order[i]
-				})
-			}
+		return nil, err
+	}
+	eng := NewEngine(t)
+	eng.Heuristic = opt.Heuristic
+	if opt.DisableDynamicOrder {
+		eng.DynamicOrder = false
+		eng.Order = append([]int(nil), t.MissingTaxa()...)
+		if opt.ShuffleSeed != 0 {
+			rng := rand.New(rand.NewSource(opt.ShuffleSeed))
+			rng.Shuffle(len(eng.Order), func(i, j int) {
+				eng.Order[i], eng.Order[j] = eng.Order[j], eng.Order[i]
+			})
 		}
 	}
 	est := opt.Estimator
 	var estPrev Counters // counters already merged into the estimator
 	if est != nil {
 		eng.OnLeaf = est.AddLeaf
-		if opt.Resume != nil {
-			// Seed with the interrupted run's consumed mass and counters so
-			// the resumed fraction-complete picks up where it left off.
-			consumed := eng.InitWeights()
-			cpc := opt.Resume.Counters
-			est.AddLeafMass(consumed, cpc.StandTrees+cpc.DeadEnds)
-			est.AddCounters(cpc.StandTrees, cpc.IntermediateStates, cpc.DeadEnds)
-			estPrev = cpc
-		}
 	}
 	flushEst := func(c Counters) {
 		if est == nil {
@@ -298,7 +261,6 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 		}
 	}
 
-	checks := 0
 	lastCkpt := start
 	for {
 		for i := 0; i < opt.CheckEvery; i++ {
@@ -316,18 +278,13 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 		if opt.OnCheck != nil {
 			opt.OnCheck(res.Counters, time.Since(start))
 		}
-		if periodic {
-			if checks++; checks%opt.CheckpointEvery == 0 {
-				opt.OnCheckpoint(eng.Snapshot(constraints, res.InitialIndex))
-			}
-		}
 		if interval && time.Since(lastCkpt) >= opt.CheckpointInterval {
-			opt.OnCheckpoint(eng.Snapshot(constraints, res.InitialIndex))
+			opt.OnCheckpoint(serialCheckpoint(eng, constraints, idx))
 			lastCkpt = time.Now()
 		}
 		select {
 		case reply := <-opt.Trigger.Requests():
-			reply <- eng.Snapshot(constraints, res.InitialIndex)
+			reply <- serialCheckpoint(eng, constraints, idx)
 		default:
 		}
 		if reason, hit := opt.Limits.Exceeded(res.Counters, time.Since(start)); hit {
@@ -337,7 +294,7 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 		}
 		if res.Stop != StopExhausted {
 			if opt.CheckpointOnStop {
-				res.Checkpoint = eng.Snapshot(constraints, res.InitialIndex)
+				res.Checkpoint = serialCheckpoint(eng, constraints, idx)
 			}
 			res.Elapsed = time.Since(start)
 			return res, nil

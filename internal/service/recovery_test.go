@@ -51,12 +51,14 @@ func runCrashChild(dir string) {
 	fault, err := faultinject.FromEnv()
 	if err == nil {
 		var m *Manager
+		// A wall-clock interval this short snapshots at every
+		// stopping-rule check.
 		m, err = New(Config{
-			Workers:         1,
-			DataDir:         dir,
-			Checkpoint:      true,
-			CheckpointEvery: 1,
-			Fault:           fault,
+			Workers:            1,
+			DataDir:            dir,
+			Checkpoint:         true,
+			CheckpointInterval: time.Nanosecond,
+			Fault:              fault,
 		})
 		if err == nil {
 			var job *Job
@@ -298,7 +300,7 @@ func TestRestartResumesSerialJobFromCheckpoint(t *testing.T) {
 	half, err := gentrius.EnumerateStand(cons, gentrius.Options{
 		Threads: 1, InitialTree: gentrius.UseInitialTreeHeuristic,
 		MaxTrees: ref.StandTrees / 3, MaxStates: -1, MaxTime: -1,
-		CheckpointOnStop: true, CollectTrees: true,
+		Checkpoint: &gentrius.CheckpointPolicy{OnStop: true}, CollectTrees: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -543,7 +545,8 @@ func TestFinishedJobRemovesCheckpointRotation(t *testing.T) {
 	met := NewMetrics(reg)
 	dir := t.TempDir()
 	m := newTestManager(t, Config{
-		Workers: 1, DataDir: dir, Checkpoint: true, CheckpointEvery: 1, Metrics: met,
+		Workers: 1, DataDir: dir, Checkpoint: true, Metrics: met,
+		CheckpointInterval: time.Nanosecond, // a snapshot at every stopping-rule check
 	})
 	job, err := m.Submit(JobRequest{
 		Trees: []string{cat("x"), cat("y")}, MaxTrees: -1, MaxStates: -1, MaxTimeSeconds: -1,

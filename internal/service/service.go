@@ -8,8 +8,8 @@
 //
 // Fault tolerance: every job transition is appended to an fsynced NDJSON
 // journal before it becomes externally visible, jobs checkpoint
-// periodically when Config.CheckpointEvery or Config.CheckpointInterval is
-// set (parallel jobs snapshot their quiesced task frontier), and New
+// periodically when Config.CheckpointInterval is set (every snapshot is a
+// task frontier; parallel jobs quiesce their pool for it), and New
 // replays the journal on startup — finished jobs are re-adopted with their
 // spools, running jobs resume from their latest checkpoint at any thread
 // count, queued jobs requeue, and everything else is marked interrupted. A
@@ -64,16 +64,11 @@ type Config struct {
 	// resumable snapshot next to its spool. Parallel jobs snapshot their
 	// quiesced task frontier; the snapshot resumes at any thread count.
 	Checkpoint bool
-	// CheckpointEvery additionally checkpoints running serial jobs every N
-	// stopping-rule checks (0 disables). This is what makes a job
-	// killed -9 resumable: on restart the journal replay requeues it from
-	// the latest periodic snapshot. Parallel jobs have no per-check
-	// cadence; set CheckpointInterval for them (a CheckpointEvery > 0 with
-	// no interval maps to one second there).
-	CheckpointEvery int
 	// CheckpointInterval checkpoints running jobs on a wall-clock cadence
-	// (0 disables) — the knob that works at every thread count. Each
-	// parallel snapshot briefly quiesces the job's worker pool.
+	// at any thread count (0 disables). This is what makes a job killed -9
+	// resumable: on restart the journal replay requeues it from the latest
+	// periodic snapshot. Each parallel snapshot briefly quiesces the job's
+	// worker pool.
 	CheckpointInterval time.Duration
 	// MaxConstraintTrees rejects submissions with more constraint trees
 	// with a structured *LimitError (0 = unlimited).
@@ -804,10 +799,9 @@ func (m *Manager) recoverJob(id string, req *JobRequest, reqID string, last jour
 		m.recovered.Requeued++
 		return job
 	case last.State == StateRunning && consErr == nil:
-		// Any thread count resumes: serial jobs from their frame-stack
-		// snapshot, parallel jobs from their quiesced task frontier (and
-		// either kind of snapshot resumes at whatever thread count the
-		// recovered request asks for).
+		// Any thread count resumes: every snapshot is a task frontier (a
+		// serial job's holds one task) and resumes at whatever thread
+		// count the recovered request asks for.
 		if cp, err := gentrius.ReadCheckpointFile(ckptPath); err == nil {
 			job.state = StateQueued
 			job.resume = cp
@@ -1106,12 +1100,11 @@ func (m *Manager) runJob(job *Job) {
 	// are quiesced task frontiers, resumable at any thread count.
 	policy := &gentrius.CheckpointPolicy{
 		OnStop:   m.cfg.Checkpoint,
-		Every:    m.cfg.CheckpointEvery,
 		Interval: m.cfg.CheckpointInterval,
 		Resume:   resume,
 		Trigger:  gentrius.NewCheckpointTrigger(),
 	}
-	if policy.Every > 0 || policy.Interval > 0 {
+	if policy.Interval > 0 {
 		policy.Sink = func(cp *gentrius.Checkpoint) {
 			if path, ok := m.writeCheckpointRetry(job.id, cp); ok {
 				job.mu.Lock()
@@ -1352,8 +1345,8 @@ func (m *Manager) finish(job *Job, res *gentrius.Result, err error) {
 }
 
 // Shutdown stops accepting jobs, cancels every queued and running job and
-// waits (bounded by ctx) for the pool to drain. In-flight serial jobs
-// checkpoint before exiting when Config.Checkpoint is set, so a restarted
+// waits (bounded by ctx) for the pool to drain. In-flight jobs, serial or
+// parallel, checkpoint before exiting when Config.Checkpoint is set, so a restarted
 // daemon — or the gentrius CLI with -resume — can pick the work back up.
 func (m *Manager) Shutdown(ctx context.Context) error {
 	m.mu.Lock()

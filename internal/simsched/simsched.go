@@ -301,10 +301,7 @@ func Run(constraints []*tree.Tree, opt Options) (*Result, error) {
 	)
 	if opt.Resume != nil {
 		cp := opt.Resume
-		if err := cp.Validate(constraints); err != nil {
-			return nil, err
-		}
-		fr, err := cp.FrontierView()
+		fr, err := cp.ResumeFrontier(constraints)
 		if err != nil {
 			return nil, err
 		}
